@@ -1,36 +1,30 @@
-"""Before/after benchmark for the grouping CheckContext.
+"""Operation-count gate for the grouping CheckContext.
 
-``test_grouping_check_context_ops`` decomposes the EXOR-heavy node
-hogs twice — once with ``use_check_context=False`` (the pre-context
-engine) and once with the default context-backed checks — on fresh
-managers, and writes ``benchmarks/BENCH_grouping.json``.
+``benchmarks/BENCH_grouping.json`` is the historical A/B record: the
+EXOR-heavy node hogs decomposed once by the engine before the context
+existed (``no_context``) and once through it (``context``), with
+byte-identical BLIFs.  Every check now runs through the context, so
+``test_grouping_check_context_ops`` holds the live engine to that
+record instead of re-running the A/B:
 
-The headline metric is deterministic: the number of kernel
-quantification operations issued (top-level ``exists``/``forall``
-walks plus fused ``and_exists``/``or_forall`` walks), which is what
-the context's quantification cache, check-verdict memos and set-lifted
-Theorem 2 filter exist to cut.  The acceptance bar is a >= 30 %
-reduction on every hog.  Raw BDD work (quantification loop steps,
-computed-table lookups) and single-rep wall clocks are recorded
-alongside, honestly: the op pruning translates into a large wall-clock
-win only where failing Fig. 4 propagations dominated (cordic); on the
-hogs whose propagations mostly succeed the remaining work is the
-propagation itself and the wall clock is roughly flat.
+* the kernel quantification operations issued (top-level
+  ``exists``/``forall`` walks plus fused ``and_exists``/``or_forall``
+  walks) must equal the recorded ``context`` value exactly and stay
+  >= 30 % below the recorded ``no_context`` value;
+* gates, area and the recursion counters must equal
+  ``tests/golden_results.json`` (the BLIF bytes themselves are pinned
+  by ``perfbench/pinned.json``).
 
-Byte-identity is asserted inline: both runs of every hog must emit the
-same BLIF, because everything the context caches is an exact canonical
-result.
+The JSON is history: this test only reads it.
 
 Run:  pytest benchmarks/test_grouping_perf.py -s
 """
 
 import json
 import os
-import time
 
 from repro.bench import get
-from repro.decomp import DecompositionConfig, bi_decompose
-from repro.io import write_blif
+from repro.decomp import bi_decompose
 
 #: The EXOR-heavy decomposition hogs the context targets.
 HOGS = ("cordic", "alu4", "16sym8")
@@ -38,64 +32,36 @@ HOGS = ("cordic", "alu4", "16sym8")
 #: Required reduction in issued kernel quantification operations.
 REDUCTION_BAR = 0.30
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _run(name, use_check_context):
-    mgr, specs = get(name).build()
-    config = DecompositionConfig(use_check_context=use_check_context)
-    t0 = time.perf_counter()
-    result = bi_decompose(specs, config=config)
-    wall = time.perf_counter() - t0
-    kernel = mgr.cache_stats()
-    stats = result.stats.as_dict()
-    return {
-        "blif": write_blif(result.netlist),
-        "wall": round(wall, 3),
-        "quantify_ops": (kernel["quantify_calls"]
-                         + kernel["and_exists_calls"]),
-        "quantify_steps": kernel["quantify_steps"],
-        "computed_lookups": kernel["computed_lookups"],
-        "grouping_check_calls": stats["grouping_check_calls"],
-        "quantify_cache_hits": stats["quantify_cache_hits"],
-    }
+
+def _load(*parts):
+    with open(os.path.join(_ROOT, *parts)) as handle:
+        return json.load(handle)
 
 
 def test_grouping_check_context_ops():
-    doc = {
-        "metric": "kernel quantification operations issued (top-level "
-                  "exists/forall walks + fused and_exists/or_forall "
-                  "walks); deterministic, so the bar is exact",
-        "bar": "context run must issue >= 30% fewer quantification "
-               "ops than the no-context run on every hog",
-        "protocol": "both sides run back-to-back on fresh managers, "
-                    "single rep each; BLIF byte-identity asserted "
-                    "inline; wall clocks are single-rep context only "
-                    "(this container's clock drifts between windows)",
-        "hogs": {},
-    }
+    recorded = _load("benchmarks", "BENCH_grouping.json")["hogs"]
+    golden = _load("tests", "golden_results.json")
     for name in HOGS:
-        legacy = _run(name, use_check_context=False)
-        cached = _run(name, use_check_context=True)
-        assert legacy.pop("blif") == cached.pop("blif"), \
-            "%s: CheckContext changed the emitted netlist" % name
-        reduction = 1.0 - cached["quantify_ops"] / legacy["quantify_ops"]
-        assert cached["quantify_cache_hits"] > 0, name
-        assert reduction >= REDUCTION_BAR, \
+        mgr, specs = get(name).build()
+        result = bi_decompose(specs)
+        kernel = mgr.cache_stats()
+        ops = kernel["quantify_calls"] + kernel["and_exists_calls"]
+        before = recorded[name]["no_context"]["quantify_ops"]
+        assert ops == recorded[name]["context"]["quantify_ops"], \
+            "%s: %d quantification ops, recorded %d" % (
+                name, ops, recorded[name]["context"]["quantify_ops"])
+        assert ops <= (1.0 - REDUCTION_BAR) * before, \
             "%s: quantification ops only fell %.1f%% (%d -> %d)" % (
-                name, 100.0 * reduction, legacy["quantify_ops"],
-                cached["quantify_ops"])
-        doc["hogs"][name] = {
-            "no_context": legacy,
-            "context": cached,
-            "quantify_op_reduction": round(reduction, 4),
-            "bdd_work_delta": round(
-                (cached["quantify_steps"] + cached["computed_lookups"])
-                / (legacy["quantify_steps"] + legacy["computed_lookups"])
-                - 1.0, 4),
-        }
-        print("%s: quantify ops %d -> %d (-%.0f%%), wall %.2fs -> %.2fs"
-              % (name, legacy["quantify_ops"], cached["quantify_ops"],
-                 100.0 * reduction, legacy["wall"], cached["wall"]))
-    path = os.path.join(os.path.dirname(__file__), "BENCH_grouping.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+                name, 100.0 * (1.0 - ops / before), before, ops)
+        assert result.stats.quantify_cache_hits > 0, name
+        netlist = result.netlist_stats()
+        got = {"gates": netlist.gates, "area": netlist.area,
+               "calls": result.stats.calls,
+               "cache_hits": result.stats.cache_hits,
+               "shannon": result.stats.shannon}
+        assert got == {key: golden[name][key] for key in got}, name
+        print("%s: quantify ops %d (recorded %d before the context, "
+              "-%.0f%%)" % (name, ops, before,
+                            100.0 * (1.0 - ops / before)))

@@ -31,10 +31,12 @@ exists (emptiness conditions that fail have none to show).
 **Independence.**  This module imports only the neutral layers —
 ``repro.bdd``, ``repro.boolfn``, ``repro.io``, ``repro.network`` —
 and never the decomposition engine or the pipeline.
-``tools/astlint.py`` (rule ``certifier-independence``) enforces that
+``repro selfcheck`` (rule ``certifier-independence``) enforces that
 statically, so checker independence is machine-checked rather than
-claimed.  See docs/ANALYSIS.md for the threat model: what a passing
-certificate does and does not prove.
+claimed.  Checked mode (:mod:`repro.analysis.contracts`) re-proves each
+live step through :func:`check_theorem`, so the engine's own checks
+never vouch for themselves.  See docs/ANALYSIS.md for the threat
+model: what a passing certificate does and does not prove.
 """
 
 from repro.bdd import exists as _exists, forall as _forall, pick_minterm
@@ -198,47 +200,67 @@ def _check_variable_sets(report, step, step_id, theorem, support_names):
     return xa, xb
 
 
+def check_theorem(mgr, theorem, q, r, xa, xb):
+    """Re-prove a step's theorem condition on the interval ``(q, r)``.
+
+    *q* and *r* are packed on-/off-set edges on *mgr*; *xa* and *xb*
+    are the step's variable groups.  Returns None when the condition
+    holds, else ``(check_id, message, residue)`` where *residue* is the
+    edge that should have been empty (or, for weak usefulness, the
+    empty edge that should not have been).  ``fig4-exor`` has no
+    closed-form residue and always returns None; it is covered by the
+    composition and support-separation checks (see the threat model in
+    docs/ANALYSIS.md).
+
+    Theorem 2's formula applied to variable *sets* is the set-lifted
+    condition, which is necessary for any EXOR grouping and sufficient
+    for singleton groups.
+    """
+    if theorem == "thm1-or":
+        residue = mgr.and_(mgr.and_(q, _exists(mgr, xa, r)),
+                           _exists(mgr, xb, r))
+        if residue != mgr.false:
+            return ("or-residue",
+                    "Theorem 1 fails: Q & exists(XA,R) & exists(XB,R) "
+                    "is non-empty", residue)
+    elif theorem == "thm1-and-dual":
+        residue = mgr.and_(mgr.and_(r, _exists(mgr, xa, q)),
+                           _exists(mgr, xb, q))
+        if residue != mgr.false:
+            return ("and-residue",
+                    "Theorem 1 dual fails: R & exists(XA,Q) & "
+                    "exists(XB,Q) is non-empty", residue)
+    elif theorem == "thm2-exor":
+        q_d = mgr.and_(_exists(mgr, xa, q), _exists(mgr, xa, r))
+        r_d = mgr.or_(_forall(mgr, xa, q), _forall(mgr, xa, r))
+        residue = mgr.and_(q_d, _exists(mgr, xb, r_d))
+        if residue != mgr.false:
+            return ("exor-derivative",
+                    "Theorem 2 fails: Q_D & exists(XB, R_D) is "
+                    "non-empty", residue)
+    elif theorem == "table1-weak-or":
+        gain = mgr.diff(q, _exists(mgr, xa, r))
+        if gain == mgr.false:
+            return ("weak-usefulness",
+                    "weak OR step injects no don't-cares "
+                    "(Q - exists(XA,R) is empty)", gain)
+    elif theorem == "table1-weak-and":
+        gain = mgr.diff(r, _exists(mgr, xa, q))
+        if gain == mgr.false:
+            return ("weak-usefulness",
+                    "weak AND step injects no don't-cares "
+                    "(R - exists(XA,Q) is empty)", gain)
+    return None
+
+
 def _check_theorem(report, mgr, step_id, theorem, q, r, xa, xb):
     """Re-prove the step's theorem condition in the fresh manager."""
     report.count()
-    if theorem == "thm1-or":
-        residue = mgr.and_(mgr.and_(q.node, _exists(mgr, xa, r.node)),
-                           _exists(mgr, xb, r.node))
-        if residue != mgr.false:
-            report.fail("or-residue",
-                        "Theorem 1 fails: Q & exists(XA,R) & exists(XB,R) "
-                        "is non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "thm1-and-dual":
-        residue = mgr.and_(mgr.and_(r.node, _exists(mgr, xa, q.node)),
-                           _exists(mgr, xb, q.node))
-        if residue != mgr.false:
-            report.fail("and-residue",
-                        "Theorem 1 dual fails: R & exists(XA,Q) & "
-                        "exists(XB,Q) is non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "thm2-exor":
-        q_d = mgr.and_(_exists(mgr, xa, q.node), _exists(mgr, xa, r.node))
-        r_d = mgr.or_(_forall(mgr, xa, q.node), _forall(mgr, xa, r.node))
-        residue = mgr.and_(q_d, _exists(mgr, xb, r_d))
-        if residue != mgr.false:
-            report.fail("exor-derivative",
-                        "Theorem 2 fails: Q_D & exists(XB, R_D) is "
-                        "non-empty", step=step_id,
-                        counterexample=_witness(mgr, residue))
-    elif theorem == "table1-weak-or":
-        if mgr.diff(q.node, _exists(mgr, xa, r.node)) == mgr.false:
-            report.fail("weak-usefulness",
-                        "weak OR step injects no don't-cares "
-                        "(Q - exists(XA,R) is empty)", step=step_id)
-    elif theorem == "table1-weak-and":
-        if mgr.diff(r.node, _exists(mgr, xa, q.node)) == mgr.false:
-            report.fail("weak-usefulness",
-                        "weak AND step injects no don't-cares "
-                        "(R - exists(XA,Q) is empty)", step=step_id)
-    # fig4-exor has no closed-form residue; it is covered by the
-    # composition and support-separation checks (see the threat model
-    # in docs/ANALYSIS.md).
+    failure = check_theorem(mgr, theorem, q.node, r.node, xa, xb)
+    if failure is not None:
+        check, message, residue = failure
+        report.fail(check, message, step=step_id,
+                    counterexample=_witness(mgr, residue))
 
 
 def _check_composition(report, mgr, step, step_id, theorem, gate, f,

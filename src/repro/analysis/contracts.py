@@ -10,10 +10,16 @@ certificates.  This module does, in an opt-in checked mode (CLI
 * **disjoint-sets** — the chosen XA/XB are disjoint, non-empty and
   inside the support (XC is the remainder by construction);
 * **or-residue / and-residue / exor-check** — the decomposability
-  certificate of the chosen step re-verified from first principles
-  (Theorem 1, its AND dual, Theorem 2 / Fig. 4);
+  certificate of the chosen step re-proved on the live edges by the
+  offline certifier's :func:`~repro.analysis.certify.check_theorem`,
+  never by the engine's own checks (Theorem 1, its AND dual, Theorem 2;
+  a Fig. 4 set grouping must pass the set-lifted Theorem 2 condition in
+  both directions, which is necessary — sufficiency is carried by the
+  support and result-interval contracts below, the certifier's own
+  argument for ``fig4-exor``);
 * **weak-usefulness** — a weak step strictly enlarged component A's
-  don't-care set (Table 1's termination argument);
+  don't-care set (Table 1's termination argument, again through
+  ``check_theorem``);
 * **component-a-support / component-b-support** — the derived
   component intervals do not depend on the partner's variable set
   (Theorems 3/4: XB is quantified out of A, XA out of B);
@@ -31,9 +37,8 @@ Violations raise :class:`ContractViolation` (a
 publish ``contract_violated`` events on its bus.
 """
 
+from repro.analysis.certify import check_theorem
 from repro.decomp.bidecomp import DecompositionEngine, DecompositionError
-from repro.decomp.checks import (and_decomposable, or_decomposable,
-                                 weak_and_useful, weak_or_useful)
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
 
 
@@ -136,6 +141,20 @@ class CheckedDecompositionEngine(DecompositionEngine):
             self.on_violation(contract, message, detail)
         raise ContractViolation(contract, message, detail=detail)
 
+    def _theorem_contract(self, contract, isf, obligations):
+        """One contract check: every ``(theorem, xa, xb)`` obligation
+        re-proved on the live edges by the certifier's function."""
+        message = None
+        for theorem, xa, xb in obligations:
+            failure = check_theorem(isf.mgr, theorem, isf.on.node,
+                                    isf.off.node, xa, xb)
+            if failure is not None:
+                check, text, _residue = failure
+                message = "[%s] %s for XA=%s XB=%s" % (
+                    check, text, sorted(set(xa)), sorted(set(xb or ())))
+                break
+        self._contract(contract, message is None, message)
+
     # -- engine hooks -----------------------------------------------------
     def _pre_decompose(self, isf):
         self._contract(
@@ -151,13 +170,10 @@ class CheckedDecompositionEngine(DecompositionEngine):
                 bool(xa_set) and xa_set <= support_set,
                 "weak %s step chose XA=%s outside the support %s"
                 % (gate, sorted(xa_set), sorted(support_set)))
-            useful = (weak_or_useful if gate == OR_GATE
-                      else weak_and_useful)
-            self._contract(
-                "weak-usefulness", useful(isf, xa),
-                "weak %s step with XA=%s injects no don't-cares "
-                "(Table 1 termination argument broken)"
-                % (gate, sorted(xa_set)))
+            theorem = ("table1-weak-or" if gate == OR_GATE
+                       else "table1-weak-and")
+            self._theorem_contract("weak-usefulness", isf,
+                                   [(theorem, xa, None)])
             return
         xb_set = set(xb)
         self._contract(
@@ -170,22 +186,17 @@ class CheckedDecompositionEngine(DecompositionEngine):
             % (gate, sorted(xa_set), sorted(xb_set),
                sorted(support_set)))
         if gate == OR_GATE:
-            self._contract(
-                "or-residue", or_decomposable(isf, xa, xb),
-                "Theorem 1 residue Q & exists(XA,R) & exists(XB,R) "
-                "is non-empty for XA=%s XB=%s"
-                % (sorted(xa_set), sorted(xb_set)))
+            self._theorem_contract("or-residue", isf,
+                                   [("thm1-or", xa, xb)])
         elif gate == AND_GATE:
-            self._contract(
-                "and-residue", and_decomposable(isf, xa, xb),
-                "AND-dual of Theorem 1 fails for XA=%s XB=%s"
-                % (sorted(xa_set), sorted(xb_set)))
+            self._theorem_contract("and-residue", isf,
+                                   [("thm1-and-dual", xa, xb)])
         elif gate == EXOR_GATE:
-            from repro.decomp.exor import exor_decomposable
-            self._contract(
-                "exor-check", exor_decomposable(isf, xa, xb),
-                "Fig. 4 EXOR check fails on re-run for XA=%s XB=%s"
-                % (sorted(xa_set), sorted(xb_set)))
+            # Singletons: Theorem 2 exactly.  Sets: its set-lifted form,
+            # a necessary condition, in both directions.
+            self._theorem_contract("exor-check", isf,
+                                   [("thm2-exor", xa, xb),
+                                    ("thm2-exor", xb, xa)])
         self._contract(
             "component-a-support",
             not (set(isf_a.structural_support()) & xb_set),

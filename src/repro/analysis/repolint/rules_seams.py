@@ -1,12 +1,11 @@
-"""The six architectural seam rules, ported from ``tools/astlint.py``.
+"""The six architectural seam rules.
 
-Same ids, same semantics on direct evidence — plus the transitive
-import-graph substrate the old single-file lint lacked:
-``certifier-independence`` and ``process-boundary`` now also flag
+They began as a per-file AST lint; as framework rules they add the
+transitive import-graph substrate that lint lacked:
+``certifier-independence`` and ``process-boundary`` also flag
 *indirect* leakage, where a helper module imports the forbidden layer
-on the seam module's behalf (``tools/astlint.py`` remains as a thin
-shim over these).  docs/ANALYSIS.md carries the full rationale per
-rule.
+on the seam module's behalf.  docs/ANALYSIS.md carries the full
+rationale per rule.
 """
 
 import ast
@@ -126,11 +125,7 @@ def _is_live_bdd_module(name):
 
 
 def direct_process_boundary_findings(rel, tree):
-    """``(line, message)`` for direct live-BDD imports in *tree*.
-
-    Shared with the ``tools/astlint.py`` shim, which still works one
-    file at a time.
-    """
+    """``(line, message)`` for direct live-BDD imports in *tree*."""
     for node in ast.walk(tree):
         names = []
         if isinstance(node, ast.Import):

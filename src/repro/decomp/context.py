@@ -27,8 +27,9 @@ naive implementation recomputes everything per probe.
 
 All cached values are exact canonical BDD edges or booleans derived
 from them (quantifier commutativity plus unique-table canonicity), so
-enabling the context cannot change any decomposition decision: golden
-BLIFs and certificate traces stay byte-identical.  The caches live on
+the context cannot change any decomposition decision.  It is the only
+way the checks run: every check takes an optional context and makes a
+fresh one when given None.  The caches live on
 the manager as ``_cache_ctx_*`` dicts, which
 :meth:`repro.bdd.manager.BDD.clear_caches` drops wholesale on reorder
 or GC exactly like the kernel's own computed tables — a cached edge is

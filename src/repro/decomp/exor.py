@@ -20,6 +20,7 @@ re-derives component B from the chosen CSF f_A afterwards (see
 from repro.bdd import cube_to_bdd, exists as _exists, pick_cube
 from repro.bdd.function import Function
 from repro.boolfn.isf import ISF, InconsistentISF
+from repro.decomp.context import CheckContext
 
 
 def check_exor_bidecomp(isf, xa, xb, ctx=None):
@@ -32,14 +33,14 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
     xa, xb:
         Disjoint variable sets (iterables of names/indices).
     ctx:
-        Optional :class:`~repro.decomp.context.CheckContext`.  With a
-        context the whole propagation outcome memoises on its
-        ``(Q, R, XA, XB)`` key (the engine re-runs the winning grouping
-        verbatim to derive the components), the set-lifted Theorem 2
-        filter of :func:`_set_derivative_filter` prunes infeasible
-        groupings before any propagation runs, and the projection steps
-        share the context's quantification cache.  Identical canonical
-        results either way.
+        The :class:`~repro.decomp.context.CheckContext` to run in (a
+        fresh one on ``isf.mgr`` when None).  The whole propagation
+        outcome memoises on its ``(Q, R, XA, XB)`` key (the engine
+        re-runs the winning grouping verbatim to derive the
+        components), the set-lifted Theorem 2 filter of
+        :func:`_set_derivative_filter` prunes infeasible groupings
+        before any propagation runs, and the projection steps share the
+        context's quantification cache.
 
     Returns ``(isf_a, isf_b)`` — the accumulated must-sets of the two
     components as ISFs — or ``None`` when no EXOR bi-decomposition with
@@ -54,15 +55,14 @@ def check_exor_bidecomp(isf, xa, xb, ctx=None):
     cofactors *are* the components.  This is orders of magnitude faster
     and bitwise-equivalent in outcome.
     """
-    if ctx is None:
-        return _check_exor_impl(isf, xa, xb, ctx)
+    mgr = isf.mgr
+    ctx = ctx or CheckContext(mgr)
     # The propagation is a pure function of (Q, R, XA, XB) packed
     # edges, so its outcome memoises exactly.  This is the single
     # biggest repeat in the whole algorithm: the greedy growth loop
     # probes a grouping via exor_decomposable, and the engine then
     # re-runs the winning grouping verbatim to derive the components.
     ctx.check_calls += 1
-    mgr = isf.mgr
     cached, store = ctx.check_memo("exor", isf.on.node, isf.off.node,
                                    xa, xb)
     if store is None:
@@ -126,12 +126,6 @@ def _check_exor_impl(isf, xa, xb, ctx):
         return _exists(mgr, vars_, mgr.or_(mgr.and_(u, pu),
                                            mgr.and_(v, pv)))
 
-    if ctx is not None:
-        def _project(vars_, node):
-            return ctx.exists(node, vars_)
-    else:
-        def _project(vars_, node):
-            return _exists(mgr, vars_, node)
     false = mgr.false
     q = isf.on.node
     r = isf.off.node
@@ -179,8 +173,8 @@ def _check_exor_impl(isf, xa, xb, ctx):
     # Untouched off-set points: force both components to 0 there
     # (0 EXOR 0 = 0), per the paper's final step.
     if r != false:
-        acc_ra = mgr.or_(acc_ra, _project(xb, r))
-        acc_rb = mgr.or_(acc_rb, _project(xa, r))
+        acc_ra = mgr.or_(acc_ra, ctx.exists(r, xb))
+        acc_rb = mgr.or_(acc_rb, ctx.exists(r, xa))
         if mgr.and_(acc_qa, acc_ra) != false:
             return None
         if mgr.and_(acc_qb, acc_rb) != false:
@@ -221,6 +215,7 @@ def exor_decomposable(isf, xa, xb, ctx=None):
     checks in a handful of quantifications.  Only survivors pay for the
     full Fig. 4 propagation.
     """
+    ctx = ctx or CheckContext(isf.mgr)
     if not isf.is_completely_specified():
         from repro.decomp.checks import exor_decomposable_single
         for a in xa:

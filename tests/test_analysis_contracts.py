@@ -167,6 +167,47 @@ class TestWeakStepContracts:
         assert doc["total_violations"] == 0
 
 
+class TestSelfConfirmationCanary:
+    def test_forged_exor_checks_are_stopped_at_exor_check(self,
+                                                          monkeypatch):
+        # Majority-of-3 has no EXOR bi-decomposition.  Forge every EXOR
+        # check the engine can reach so it accepts any grouping and
+        # returns the unchecked cofactor components.  Checked mode must
+        # still refuse the step at exor-check: its contracts re-prove
+        # Theorem 2 with the certifier, not with the engine's checks.
+        import repro.decomp as decomp_pkg
+        from repro.decomp import DecompositionConfig
+        from repro.decomp import bidecomp, checks, exor, grouping
+
+        def accept(*_args, **_kwargs):
+            return True
+
+        def cofactor_components(isf, xa, xb, ctx=None):
+            mgr = isf.mgr
+            zero_a = {mgr.var_index(v): 0 for v in xa}
+            zero_b = {mgr.var_index(v): 0 for v in xb}
+            f = isf.on.node
+            f_a0 = mgr.restrict(f, zero_a)
+            comp_b = mgr.xor(f_a0, mgr.restrict(f_a0, zero_b))
+            return (ISF.from_csf(mgr.fn(mgr.restrict(f, zero_b))),
+                    ISF.from_csf(mgr.fn(comp_b)))
+
+        for module in (decomp_pkg, checks):
+            monkeypatch.setattr(module, "exor_decomposable_single", accept)
+        for module in (decomp_pkg, exor, grouping):
+            monkeypatch.setattr(module, "exor_decomposable", accept)
+        for module in (decomp_pkg, exor, bidecomp):
+            monkeypatch.setattr(module, "check_exor_bidecomp",
+                                cofactor_components)
+        mgr = BDD(["a", "b", "c"])
+        specs = {"maj": ISF.from_csf(parse(mgr, "a & b | a & c | b & c"))}
+        config = DecompositionConfig(use_or=False, use_and=False)
+        with pytest.raises(ContractViolation) as excinfo:
+            bi_decompose(specs, config=config, check=True)
+        assert excinfo.value.contract == "exor-check"
+        assert "exor-derivative" in str(excinfo.value)
+
+
 class TestContractStats:
     def test_counting_and_serialisation(self):
         stats = ContractStats()

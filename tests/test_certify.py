@@ -78,6 +78,31 @@ class TestCoverHelpers:
         assert cert_path_for("noext") == "noext.cert.json"
 
 
+class TestCheckTheorem:
+    """The pure theorem check checked mode shares with the certifier."""
+
+    def test_verdicts_and_residues(self):
+        from repro.analysis.certify import check_theorem
+        mgr = BDD(["a", "b", "c"])
+        or_fn = parse(mgr, "a | b")
+        q, r = or_fn.node, (~or_fn).node
+        assert check_theorem(mgr, "thm1-or", q, r, ["a"], ["b"]) is None
+        check, _message, residue = check_theorem(
+            mgr, "thm1-and-dual", q, r, ["a"], ["b"])
+        assert check == "and-residue" and residue != mgr.false
+        maj = parse(mgr, "a & b | a & c | b & c")
+        failure = check_theorem(mgr, "thm2-exor", maj.node,
+                                (~maj).node, ["a"], ["b"])
+        assert failure[0] == "exor-derivative"
+        check, _message, residue = check_theorem(
+            mgr, "table1-weak-or", parse(mgr, "a & b").node,
+            parse(mgr, "~(a & b)").node, ["a"], None)
+        assert check == "weak-usefulness" and residue == mgr.false
+        # Fig. 4 has no closed-form residue to re-prove.
+        assert check_theorem(mgr, "fig4-exor", maj.node, (~maj).node,
+                             ["a"], ["b"]) is None
+
+
 class TestCertificateEmission:
     def test_cert_written_beside_blif(self, tmp_path):
         _pla, blif_path, run, events = _decompose_with_cert(tmp_path,

@@ -130,7 +130,7 @@ class TestImportGraph:
         assert module_name_for("src/repro/bdd/manager.py") == \
             "repro.bdd.manager"
         assert module_name_for("src/repro/io/__init__.py") == "repro.io"
-        assert module_name_for("tools/astlint.py") is None
+        assert module_name_for("tools/foo.py") is None
 
     def test_direct_imports_from_spellings(self):
         tree = ast.parse("import os\nfrom repro.io import pla\n"
