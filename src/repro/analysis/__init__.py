@@ -3,8 +3,8 @@
 * :func:`lint_netlist` — rule engine over :class:`repro.network.Netlist`
   producing typed :class:`Finding`\\ s with severities and a
   machine-readable report (``repro lint`` on the CLI);
-* :class:`CheckedDecompositionEngine` — sanitizer asserting the paper's
-  Theorem 1/2/3/4/6 certificates at every recursion step (CLI
+* :class:`ContractChecker` — engine step listener asserting the
+  paper's Theorem 1/2/3/4/6 certificates at every recursion step (CLI
   ``--check``, ``PipelineConfig(check_contracts=True)``);
 * :func:`certify` / :func:`certify_file` — independent offline
   certifier replaying decomposition certificate traces in a fresh
@@ -25,7 +25,7 @@ references.
 from repro.analysis.rules import (RULES, Finding, LintReport, LintRule,
                                   Severity, rule)
 from repro.analysis.netlist_lint import LintContext, lint_netlist
-from repro.analysis.contracts import (CONTRACTS, CheckedDecompositionEngine,
+from repro.analysis.contracts import (CONTRACTS, ContractChecker,
                                       ContractStats, ContractViolation)
 from repro.analysis.certify import (CertificationFailure,
                                     CertificationReport, certify,
@@ -37,7 +37,7 @@ from repro.analysis.repolint import (REPO_RULES, RepolintReport, RepoRule,
 __all__ = [
     "RULES", "Finding", "LintReport", "LintRule", "Severity", "rule",
     "LintContext", "lint_netlist",
-    "CONTRACTS", "CheckedDecompositionEngine", "ContractStats",
+    "CONTRACTS", "ContractChecker", "ContractStats",
     "ContractViolation",
     "CertificationFailure", "CertificationReport", "certify",
     "certify_file",

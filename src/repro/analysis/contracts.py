@@ -31,15 +31,18 @@ certificates.  This module does, in an opt-in checked mode (CLI
   equally to hits rehydrated from a persistent store, see
   :mod:`repro.decomp.cache_store`).
 
-Violations raise :class:`ContractViolation` (a
+:class:`ContractChecker` runs these as a
+:class:`~repro.decomp.bidecomp.StepListener` of the engine.  Violations
+raise :class:`ContractViolation` (a
 :class:`~repro.decomp.DecompositionError`) and are reported through the
 ``on_violation`` callback first, which the pipeline session uses to
 publish ``contract_violated`` events on its bus.
 """
 
 from repro.analysis.certify import check_theorem
-from repro.decomp.bidecomp import DecompositionEngine, DecompositionError
+from repro.decomp.bidecomp import DecompositionError, StepListener
 from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
+from repro.io.cert import STEP_THEOREMS
 
 
 class ContractViolation(DecompositionError):
@@ -73,6 +76,11 @@ CONTRACTS = (
     "cache-compatible",
     "cache-node-function",
 )
+
+
+#: The contract that re-proves a strong step's theorem, by gate.
+_THEOREM_CONTRACTS = {OR_GATE: "or-residue", AND_GATE: "and-residue",
+                      EXOR_GATE: "exor-check"}
 
 
 class ContractStats:
@@ -110,33 +118,32 @@ class ContractStats:
             self.total_checks(), self.total_violations())
 
 
-class CheckedDecompositionEngine(DecompositionEngine):
-    """Drop-in engine that asserts the paper's certificates while it
-    runs.
+class ContractChecker(StepListener):
+    """Engine step listener that asserts the paper's certificates
+    while the engine runs, on the engine's *mgr* and *netlist*.
 
-    Parameters are those of :class:`DecompositionEngine` plus
-    ``on_violation(contract, message, detail)``, called right before a
-    :class:`ContractViolation` is raised (the session publishes the
-    event there).  Checked mode forces the per-result interval check
-    regardless of ``config.check_invariants``.
+    ``on_violation(contract, message, detail)`` is called right before
+    a :class:`ContractViolation` is raised (the session publishes the
+    event there).  Every cache hit the engine reuses — in-run or
+    rehydrated from a persistent store
+    (:mod:`repro.decomp.cache_store`) — reaches :meth:`annotate_cache`,
+    so a corrupt store entry trips ``cache-compatible`` or
+    ``cache-node-function`` instead of reaching the netlist.
     """
 
-    def __init__(self, mgr, netlist, var_nodes, config=None, cache=None,
-                 observer=None, on_violation=None):
-        super().__init__(mgr, netlist, var_nodes, config=config,
-                         cache=cache, observer=observer)
-        self.contract_stats = ContractStats()
+    def __init__(self, mgr, netlist, on_violation=None):
+        self.mgr = mgr
+        self.netlist = netlist
         self.on_violation = on_violation
-        # Sanitize Theorem 6 reuse through the cache's hit seam.
-        self.cache.on_hit = self._validate_cache_hit
+        self.stats = ContractStats()
 
     # -- violation plumbing ---------------------------------------------
     def _contract(self, contract, holds, message, detail=None):
         """Record one check; raise on failure."""
-        self.contract_stats.checked(contract)
+        self.stats.checked(contract)
         if holds:
             return
-        self.contract_stats.violated(contract)
+        self.stats.violated(contract)
         if self.on_violation is not None:
             self.on_violation(contract, message, detail)
         raise ContractViolation(contract, message, detail=detail)
@@ -155,81 +162,15 @@ class CheckedDecompositionEngine(DecompositionEngine):
                 break
         self._contract(contract, message is None, message)
 
-    # -- engine hooks -----------------------------------------------------
-    def _pre_decompose(self, isf):
+    # -- step listener ----------------------------------------------------
+    def begin(self, isf):
         self._contract(
             "same-manager", isf.mgr is self.mgr,
             "ISF entered the engine on a foreign BDD manager "
             "(cross-manager BDD operations are undefined)")
 
-    def _on_step(self, isf, support, gate, xa, xb, isf_a):
-        xa_set, support_set = set(xa), set(support)
-        if xb is None:  # weak step
-            self._contract(
-                "disjoint-sets",
-                bool(xa_set) and xa_set <= support_set,
-                "weak %s step chose XA=%s outside the support %s"
-                % (gate, sorted(xa_set), sorted(support_set)))
-            theorem = ("table1-weak-or" if gate == OR_GATE
-                       else "table1-weak-and")
-            self._theorem_contract("weak-usefulness", isf,
-                                   [(theorem, xa, None)])
-            return
-        xb_set = set(xb)
-        self._contract(
-            "disjoint-sets",
-            bool(xa_set) and bool(xb_set)
-            and not (xa_set & xb_set)
-            and (xa_set | xb_set) <= support_set,
-            "%s step chose overlapping or out-of-support sets "
-            "XA=%s XB=%s (support %s)"
-            % (gate, sorted(xa_set), sorted(xb_set),
-               sorted(support_set)))
-        if gate == OR_GATE:
-            self._theorem_contract("or-residue", isf,
-                                   [("thm1-or", xa, xb)])
-        elif gate == AND_GATE:
-            self._theorem_contract("and-residue", isf,
-                                   [("thm1-and-dual", xa, xb)])
-        elif gate == EXOR_GATE:
-            # Singletons: Theorem 2 exactly.  Sets: its set-lifted form,
-            # a necessary condition, in both directions.
-            self._theorem_contract("exor-check", isf,
-                                   [("thm2-exor", xa, xb),
-                                    ("thm2-exor", xb, xa)])
-        self._contract(
-            "component-a-support",
-            not (set(isf_a.structural_support()) & xb_set),
-            "component A's interval depends on XB=%s although "
-            "Theorem 3 quantifies XB out" % sorted(xb_set))
-
-    def _on_derived_b(self, isf, gate, xa, f_a, isf_b):
-        self._contract(
-            "component-b-support",
-            not (set(isf_b.structural_support()) & set(xa)),
-            "component B's interval depends on XA=%s although "
-            "Theorem 4 quantifies XA out" % sorted(set(xa)))
-
-    def _check(self, isf, csf, gate):
-        # Checked mode always verifies the recombined result, whatever
-        # config.check_invariants says.
-        self._contract(
-            "result-interval", isf.is_compatible(csf),
-            "synthesised %s component leaves its interval (Q, ~R)"
-            % gate)
-
-    # -- Theorem 6 cache sanitation ---------------------------------------
-    def _validate_cache_hit(self, isf, csf, node, complemented):
-        """Re-verify every cache hit before the engine reuses it.
-
-        Installed as the cache's ``on_hit`` seam, so it covers in-run
-        hits *and* rehydrated hits from a persistent store
-        (:mod:`repro.decomp.cache_store`): a rehydrated component's
-        cover is rebuilt from disk, its cone re-emitted, and both are
-        re-checked here against Theorem 6 exactly like a live hit —
-        a corrupt store entry trips ``cache-compatible`` or
-        ``cache-node-function`` instead of reaching the netlist.
-        """
+    def annotate_cache(self, isf, csf, node, complemented):
+        """Re-verify a Theorem 6 hit before the engine reuses it."""
         self._contract(
             "cache-compatible",
             csf.mgr is isf.mgr and isf.is_compatible(csf),
@@ -245,3 +186,51 @@ class CheckedDecompositionEngine(DecompositionEngine):
             "implement the cached CSF%s"
             % (node, " (complemented hit)" if complemented else ""),
             detail={"node": node, "complemented": complemented})
+
+    def annotate_strong(self, isf, support, gate, xa, xb, isf_a):
+        xa_set, xb_set = set(xa), set(xb)
+        support_set = set(support)
+        self._contract(
+            "disjoint-sets",
+            bool(xa_set) and bool(xb_set)
+            and not (xa_set & xb_set)
+            and (xa_set | xb_set) <= support_set,
+            "%s step chose overlapping or out-of-support sets "
+            "XA=%s XB=%s (support %s)"
+            % (gate, sorted(xa_set), sorted(xb_set),
+               sorted(support_set)))
+        theorem = STEP_THEOREMS[gate, False]
+        obligations = [(theorem, xa, xb)]
+        if gate == EXOR_GATE:
+            # Singletons: Theorem 2 exactly.  Sets: its set-lifted form,
+            # a necessary condition, in both directions.
+            obligations.append((theorem, xb, xa))
+        self._theorem_contract(_THEOREM_CONTRACTS[gate], isf, obligations)
+        self._contract(
+            "component-a-support",
+            not (set(isf_a.structural_support()) & xb_set),
+            "component A's interval depends on XB=%s although "
+            "Theorem 3 quantifies XB out" % sorted(xb_set))
+
+    def annotate_weak(self, isf, support, gate, xa, isf_a):
+        xa_set, support_set = set(xa), set(support)
+        self._contract(
+            "disjoint-sets",
+            bool(xa_set) and xa_set <= support_set,
+            "weak %s step chose XA=%s outside the support %s"
+            % (gate, sorted(xa_set), sorted(support_set)))
+        self._theorem_contract("weak-usefulness", isf,
+                               [(STEP_THEOREMS[gate, True], xa, None)])
+
+    def derived_b(self, isf, gate, xa, f_a, isf_b):
+        self._contract(
+            "component-b-support",
+            not (set(isf_b.structural_support()) & set(xa)),
+            "component B's interval depends on XA=%s although "
+            "Theorem 4 quantifies XA out" % sorted(set(xa)))
+
+    def result(self, isf, csf, gate):
+        self._contract(
+            "result-interval", isf.is_compatible(csf),
+            "synthesised %s component leaves its interval (Q, ~R)"
+            % gate)

@@ -31,7 +31,8 @@ from repro.decomp.cache_store import (CACHE_FORMAT, CACHE_VERSION,
 from repro.decomp.terminal import find_gate
 from repro.decomp.trace import CertificateTracer
 from repro.decomp.bidecomp import (DecompositionConfig, DecompositionEngine,
-                                   DecompositionError, DecompositionStats)
+                                   DecompositionError, DecompositionStats,
+                                   StepListener)
 from repro.decomp.driver import (DecompositionResult, bi_decompose,
                                  bi_decompose_function)
 from repro.decomp.ashenhurst import (AshenhurstDecomposition,
@@ -56,7 +57,7 @@ __all__ = [
     "PersistentComponentCache", "cone_gate_count", "store_component",
     "serialize_cache", "save_store", "load_store",
     "DecompositionConfig", "DecompositionEngine", "DecompositionError",
-    "DecompositionStats", "DecompositionResult",
+    "DecompositionStats", "DecompositionResult", "StepListener",
     "bi_decompose", "bi_decompose_function",
     "AshenhurstDecomposition", "ashenhurst_decompose",
     "find_ashenhurst",

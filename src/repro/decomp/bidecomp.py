@@ -65,16 +65,14 @@ class DecompositionConfig:
     * ``weak_xa_size`` — how many variables the weak step's XA may
       hold (the paper settled on 1 after experimentation);
     * ``objective`` — ``"area"`` scores groupings by coverage then
-      balance (the paper's cost); ``"delay"`` puts balance first;
-    * ``check_invariants`` — verify compatibility of every synthesised
-      component against its interval (slower; on by default in tests).
+      balance (the paper's cost); ``"delay"`` puts balance first.
     """
 
     def __init__(self, use_or=True, use_and=True, use_exor=True,
                  use_weak=True, use_cache=True, use_inessential=True,
                  gate_preference=(OR_GATE, AND_GATE, EXOR_GATE),
                  exhaustive_grouping=False, weak_xa_size=1,
-                 objective="area", check_invariants=False):
+                 objective="area"):
         self.use_or = use_or
         self.use_and = use_and
         self.use_exor = use_exor
@@ -87,7 +85,6 @@ class DecompositionConfig:
         if objective not in ("area", "delay"):
             raise ValueError("objective must be 'area' or 'delay'")
         self.objective = objective
-        self.check_invariants = check_invariants
 
     def enabled_gates(self):
         """Strong gate types to try, in preference order."""
@@ -167,6 +164,50 @@ class DecompositionStats:
 _GATE_TO_NETLIST = {OR_GATE: G.OR, AND_GATE: G.AND, EXOR_GATE: G.XOR}
 
 
+class StepListener:
+    """Subscriber to the engine's recursion steps (no-op methods).
+
+    For each ``decompose`` call the engine calls, on every listener in
+    order: :meth:`begin` once inessential variables are removed; exactly
+    one ``annotate_*`` once the step kind is known; :meth:`derived_b`
+    for gate steps and :meth:`result` for gate and Shannon steps; then
+    :meth:`end`, or :meth:`abort` when the step raised.  Any method may
+    raise to stop the run; :meth:`abort` reaches only the listeners
+    whose :meth:`begin` returned.
+    """
+
+    def begin(self, isf):
+        """A step opens on the (inessential-stripped) interval *isf*."""
+
+    def annotate_cache(self, isf, csf, node, complemented):
+        """A Theorem 6 hit: *csf* is usable as is; the stored *node*
+        implements ``~csf`` when *complemented*."""
+
+    def annotate_terminal(self):
+        """The <=2-variable ``FindGate`` base case."""
+
+    def annotate_strong(self, isf, support, gate, xa, xb, isf_a):
+        """A strong step; component A's interval *isf_a* is derived."""
+
+    def annotate_weak(self, isf, support, gate, xa, isf_a):
+        """A weak OR/AND step (XA only); *isf_a* is derived."""
+
+    def annotate_shannon(self, var):
+        """The Shannon fallback on *var*."""
+
+    def derived_b(self, isf, gate, xa, f_a, isf_b):
+        """Component B's interval *isf_b* derived from the chosen f_A."""
+
+    def result(self, isf, csf, gate):
+        """A gate (or ``"SHANNON"``) step recombined into *csf*."""
+
+    def end(self, isf, csf):
+        """The step finished with *csf* chosen for *isf*."""
+
+    def abort(self):
+        """The step this listener began raised before finishing."""
+
+
 class DecompositionEngine:
     """Recursive bi-decomposition of ISFs into a shared netlist.
 
@@ -179,10 +220,14 @@ class DecompositionEngine:
         primary inputs.
     var_nodes:
         Mapping from manager variable index to netlist input node.
+    listeners:
+        :class:`StepListener` subscribers, called in order at every
+        recursion step (the pipeline session subscribes its budget,
+        contract checker and certificate tracer here).
     """
 
     def __init__(self, mgr, netlist, var_nodes, config=None, cache=None,
-                 observer=None):
+                 listeners=()):
         self.mgr = mgr
         self.netlist = netlist
         self.var_nodes = dict(var_nodes)
@@ -192,11 +237,7 @@ class DecompositionEngine:
                      else NullCache())
         self.cache = cache
         self.stats = DecompositionStats()
-        #: Optional progress sink ``observer(kind, stats)`` — the
-        #: pipeline session subscribes here so the engine reports its
-        #: steps through structured events instead of bare counters
-        #: (kinds: call, cache_hit, terminal, strong, weak, shannon).
-        self.observer = observer
+        self.listeners = tuple(listeners)
         #: Per-netlist-node provenance: the ISF interval the node was
         #: synthesised for (first synthesis wins).  Consumed by the
         #: decomposition-integrated ATPG
@@ -204,13 +245,6 @@ class DecompositionEngine:
         #: paper's claim that test generation can ride along with the
         #: decomposition at negligible cost.
         self.provenance = {}
-        #: Optional :class:`repro.decomp.trace.CertificateTracer`.  When
-        #: set (the session does this under
-        #: ``PipelineConfig(emit_certificates=True)``), every recursion
-        #: step records a proof-trace frame — theorem tag, gate,
-        #: variable-group names and exact ISOP covers — that the
-        #: offline certifier can replay without this engine.
-        self.tracer = None
 
     # -- public entry ---------------------------------------------------
     def decompose(self, isf):
@@ -220,36 +254,36 @@ class DecompositionEngine:
         the interval and is implemented by *netlist_node*.
         """
         self.stats.calls += 1
-        self._report("call")
-        self._pre_decompose(isf)
         if self.config.use_inessential:
             isf, removed = remove_inessential(isf)
             self.stats.inessential_removed += len(removed)
         support = isf.structural_support()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.begin()
+        listeners = self.listeners
+        opened = 0
         try:
+            for listener in listeners:
+                listener.begin(isf)
+                opened += 1
             csf, node = self._decompose_step(isf, support)
         except BaseException:
-            if tracer is not None:
-                tracer.abort()
+            for listener in reversed(listeners[:opened]):
+                listener.abort()
             raise
-        if tracer is not None:
-            tracer.end(isf, csf)
+        for listener in listeners:
+            listener.end(isf, csf)
         self.provenance.setdefault(node, isf)
         return csf, node
 
     def _decompose_step(self, isf, support):
         """One step of the Fig. 7 recursion (cache / terminal / strong /
-        weak / Shannon), inside the tracer frame :meth:`decompose` opens."""
+        weak / Shannon), inside the listener frames :meth:`decompose`
+        opens."""
         cached = self.cache.lookup(isf, support)
         if cached is not None:
             csf, node, complemented = cached
             self.stats.cache_hits += 1
-            self._report("cache_hit")
-            if self.tracer is not None:
-                self.tracer.annotate_cache(complemented)
+            for listener in self.listeners:
+                listener.annotate_cache(isf, csf, node, complemented)
             if complemented:
                 # The inverter's output (not the stored node) is what
                 # satisfies the queried interval.
@@ -261,9 +295,8 @@ class DecompositionEngine:
                                   self.var_nodes,
                                   allow_exor=self.config.use_exor)
             self.stats.terminal_gates += 1
-            self._report("terminal")
-            if self.tracer is not None:
-                self.tracer.annotate_terminal()
+            for listener in self.listeners:
+                listener.annotate_terminal()
             self.cache.insert(csf, node)
             return csf, node
 
@@ -296,9 +329,6 @@ class DecompositionEngine:
             return None
         gate, xa, xb = best
         self.stats.strong[gate] += 1
-        self._report("strong")
-        if self.tracer is not None:
-            self.tracer.annotate_strong(gate, xa, xb, support)
         if gate == OR_GATE:
             isf_a = derive_or_component_a(isf, xa, xb)
         elif gate == AND_GATE:
@@ -308,7 +338,8 @@ class DecompositionEngine:
             if intervals is None:  # cannot happen if grouping succeeded
                 raise DecompositionError("EXOR grouping vanished on rerun")
             isf_a = intervals[0]
-        self._on_step(isf, support, gate, xa, xb, isf_a)
+        for listener in self.listeners:
+            listener.annotate_strong(isf, support, gate, xa, xb, isf_a)
         return gate, xa, isf_a
 
     def _find_weak_step(self, isf, support, ctx):
@@ -320,14 +351,12 @@ class DecompositionEngine:
             return None
         gate, xa = weak
         self.stats.weak[gate] += 1
-        self._report("weak")
-        if self.tracer is not None:
-            self.tracer.annotate_weak(gate, xa, support)
         if gate == OR_GATE:
             isf_a = derive_weak_or_component_a(isf, xa)
         else:
             isf_a = derive_weak_and_component_a(isf, xa)
-        self._on_step(isf, support, gate, xa, None, isf_a)
+        for listener in self.listeners:
+            listener.annotate_weak(isf, support, gate, xa, isf_a)
         return gate, xa, isf_a
 
     # -- emission -------------------------------------------------------
@@ -339,7 +368,8 @@ class DecompositionEngine:
             raise DecompositionError(
                 "component B inconsistent after choosing f_A (gate %s)"
                 % gate)
-        self._on_derived_b(isf, gate, xa, f_a, isf_b)
+        for listener in self.listeners:
+            listener.derived_b(isf, gate, xa, f_a, isf_b)
         f_b, node_b = self.decompose(isf_b)
         node = self.netlist.add_gate(_GATE_TO_NETLIST[gate], node_a, node_b)
         if gate == OR_GATE:
@@ -348,45 +378,24 @@ class DecompositionEngine:
             csf = f_a & f_b
         else:
             csf = f_a ^ f_b
-        self._check(isf, csf, gate)
+        for listener in self.listeners:
+            listener.result(isf, csf, gate)
         self.cache.insert(csf, node)
         return csf, node
 
     def _shannon_step(self, isf, support):
         """Guaranteed-progress fallback: F = (x & F1) | (~x & F0)."""
         self.stats.shannon += 1
-        self._report("shannon")
         var = support[0]
-        if self.tracer is not None:
-            self.tracer.annotate_shannon(var)
+        for listener in self.listeners:
+            listener.annotate_shannon(var)
         f1, node1 = self.decompose(isf.cofactor(var, 1))
         f0, node0 = self.decompose(isf.cofactor(var, 0))
         literal = self.var_nodes[var]
         node = self.netlist.add_mux(literal, node1, node0)
         selector = self.mgr.fn(self.mgr.var(var))
         csf = selector.ite(f1, f0)
-        self._check(isf, csf, "SHANNON")
+        for listener in self.listeners:
+            listener.result(isf, csf, "SHANNON")
         self.cache.insert(csf, node)
         return csf, node
-
-    def _report(self, kind):
-        if self.observer is not None:
-            self.observer(kind, self.stats)
-
-    def _check(self, isf, csf, gate):
-        if self.config.check_invariants and not isf.is_compatible(csf):
-            raise DecompositionError(
-                "synthesised %s component leaves the interval" % gate)
-
-    # -- sanitizer hooks --------------------------------------------------
-    # No-ops here; repro.analysis.CheckedDecompositionEngine overrides
-    # them to assert the paper's certificates at each recursion step.
-    def _pre_decompose(self, isf):
-        """Called on every engine entry, before any BDD work."""
-
-    def _on_step(self, isf, support, gate, xa, xb, isf_a):
-        """Called once a strong (*xb* set) or weak (*xb* None) step is
-        chosen and component A's interval is derived."""
-
-    def _on_derived_b(self, isf, gate, xa, f_a, isf_b):
-        """Called once component B's interval is derived from f_A."""

@@ -14,22 +14,14 @@ table"; the ablation benchmark measures the same effect here.
 
 
 class ComponentCache:
-    """Support-hashed store of completely specified components.
+    """Support-hashed store of completely specified components."""
 
-    ``on_hit(isf, csf, node, complemented)`` is an optional sanitizer
-    seam invoked with every hit before it is returned; the checked
-    pipeline mode (``repro.analysis.contracts``) installs a Theorem 6
-    re-verifier there.  The returned *csf* is the usable one (already
-    complemented for complement hits).
-    """
-
-    def __init__(self, on_hit=None):
+    def __init__(self):
         self._by_support = {}
         self.lookups = 0
         self.hits = 0
         self.complement_hits = 0
         self.insertions = 0
-        self.on_hit = on_hit
 
     def lookup(self, isf, support):
         """Search for a reusable component for *isf*.
@@ -52,17 +44,12 @@ class ComponentCache:
             # Theorem 6: f compatible iff Q & ~f == 0 and R & f == 0.
             if mgr.diff(q, f) == false and mgr.and_(r, f) == false:
                 self.hits += 1
-                if self.on_hit is not None:
-                    self.on_hit(isf, csf, node, False)
                 return csf, node, False
             # ... and ~f compatible iff R & ~f == 0 and Q & f == 0.
             if mgr.and_(q, f) == false and mgr.diff(r, f) == false:
                 self.hits += 1
                 self.complement_hits += 1
-                complemented = ~csf
-                if self.on_hit is not None:
-                    self.on_hit(isf, complemented, node, True)
-                return complemented, node, True
+                return ~csf, node, True
         return None
 
     def insert(self, csf, node):

@@ -22,10 +22,11 @@ are thrown away between runs.  This module makes the cache survive:
   emission happen lazily on first use, so rehydration never pays for
   entries a run does not touch.
 
-A rehydrated hit flows through the same ``on_hit`` sanitizer seam as an
-in-run hit, so checked mode (``repro.analysis.contracts``) re-verifies
-the Theorem 6 containment *and* that the emitted cone implements the
-stored CSF — corrupt covers cannot sneak into a netlist silently.
+The engine reports a rehydrated hit to its step listeners exactly like
+an in-run hit, so checked mode (``repro.analysis.contracts``)
+re-verifies the Theorem 6 containment *and* that the emitted cone
+implements the stored CSF — corrupt covers cannot sneak into a netlist
+silently.
 
 Stores are forward-compatible within a version: unknown document or
 entry keys are ignored, a newer :data:`CACHE_VERSION` is rejected as
@@ -406,8 +407,8 @@ class PersistentComponentCache(ComponentCache):
     cache behaves exactly like a plain :class:`ComponentCache`.
     """
 
-    def __init__(self, stored=(), on_hit=None):
-        super().__init__(on_hit=on_hit)
+    def __init__(self, stored=()):
+        super().__init__()
         self.rehydrated_hits = 0
         self.rehydrated_complement_hits = 0
         self.rehydrated_entries = 0
@@ -474,15 +475,10 @@ class PersistentComponentCache(ComponentCache):
             self.hits += 1
             self.rehydrated_hits += 1
             if direct:
-                if self.on_hit is not None:
-                    self.on_hit(isf, csf, node, False)
                 return csf, node, False
             self.complement_hits += 1
             self.rehydrated_complement_hits += 1
-            complemented = ~csf
-            if self.on_hit is not None:
-                self.on_hit(isf, complemented, node, True)
-            return complemented, node, True
+            return ~csf, node, True
         return None
 
     def _rehydrate(self, entry, mgr):

@@ -31,7 +31,8 @@ from repro.bdd import exists as _exists
 from repro.bdd.function import Function
 from repro.boolfn.isf import ISF
 
-#: Gate tags used across the decomposition package.
+#: Gate tags used across the decomposition package; they are also the
+#: certificate gate tags (``repro.io.cert``).
 OR_GATE = "OR"
 AND_GATE = "AND"
 EXOR_GATE = "XOR"

@@ -1,6 +1,6 @@
 """Certificate tracer: records a proof trace of every engine step.
 
-:class:`CertificateTracer` rides along with
+:class:`CertificateTracer` is a step listener of
 :class:`~repro.decomp.bidecomp.DecompositionEngine` (the engine calls
 ``begin`` / ``annotate_*`` / ``end`` around every recursion step) and
 accumulates manager-independent step records — theorem tag, gate,
@@ -23,31 +23,21 @@ outside its own run even when a serial batch session reuses blocks
 across inputs.
 """
 
-from repro.decomp.derive import AND_GATE, EXOR_GATE, OR_GATE
-from repro.io.cert import CERT_FORMAT, CERT_VERSION, named_cover
-
-#: Engine gate constant -> certificate gate tag.
-_GATE_TAGS = {OR_GATE: "OR", AND_GATE: "AND", EXOR_GATE: "XOR"}
-
-#: Strong-step theorem tag by gate (EXOR resolved by XA/XB size).
-_STRONG_THEOREMS = {OR_GATE: "thm1-or", AND_GATE: "thm1-and-dual"}
-
-#: Weak-step theorem tag by gate.
-_WEAK_THEOREMS = {OR_GATE: "table1-weak-or", AND_GATE: "table1-weak-and"}
+from repro.decomp.bidecomp import StepListener
+from repro.decomp.derive import EXOR_GATE
+from repro.io.cert import CERT_FORMAT, CERT_VERSION, STEP_THEOREMS, \
+    named_cover
 
 
-class CertificateTracer:
+class CertificateTracer(StepListener):
     """Builds certificate step records as the engine recurses.
 
-    The engine drives the frame protocol:
-
-    * :meth:`begin` on entering ``decompose`` (after inessential
-      removal, so the recorded interval is the one the step actually
-      justified);
-    * exactly one ``annotate_*`` call once the step kind is known;
-    * :meth:`end` with the final interval and chosen component, or
-      :meth:`abort` when the step raised (budget trips, contract
-      violations) — the frame is dropped and the tracer stays usable.
+    A :class:`~repro.decomp.bidecomp.StepListener`: :meth:`begin` opens
+    a frame on the interval the step actually justified (inessential
+    variables already removed), one ``annotate_*`` call fills in the
+    step kind, and :meth:`end` closes it with the chosen component, or
+    :meth:`abort` drops it when the step raised (budget trips, contract
+    violations) — the tracer stays usable.
     """
 
     def __init__(self, mgr):
@@ -59,7 +49,7 @@ class CertificateTracer:
         self.last_root = None
 
     # -- frame protocol -----------------------------------------------
-    def begin(self):
+    def begin(self, isf):
         """Open a frame for one engine step."""
         self._stack.append({"children": []})
 
@@ -99,26 +89,24 @@ class CertificateTracer:
     def _names(self, variables):
         return sorted(self.mgr.var_name(var) for var in variables)
 
-    def annotate_strong(self, gate, xa, xb, support):
+    def annotate_strong(self, isf, support, gate, xa, xb, isf_a):
         """A strong step: Theorem 1 (OR / AND dual) or Theorem 2 /
         Fig. 4 (EXOR), with both variable groups chosen."""
         frame = self._stack[-1]
-        if gate == EXOR_GATE:
-            frame["theorem"] = ("thm2-exor"
-                                if len(xa) == 1 and len(xb) == 1
-                                else "fig4-exor")
+        if gate == EXOR_GATE and not (len(xa) == 1 and len(xb) == 1):
+            frame["theorem"] = "fig4-exor"
         else:
-            frame["theorem"] = _STRONG_THEOREMS[gate]
-        frame["gate"] = _GATE_TAGS[gate]
+            frame["theorem"] = STEP_THEOREMS[gate, False]
+        frame["gate"] = gate
         frame["xa"] = self._names(xa)
         frame["xb"] = self._names(xb)
         frame["xc"] = self._names(set(support) - set(xa) - set(xb))
 
-    def annotate_weak(self, gate, xa, support):
+    def annotate_weak(self, isf, support, gate, xa, isf_a):
         """A weak OR/AND step (Table 1): only XA is chosen."""
         frame = self._stack[-1]
-        frame["theorem"] = _WEAK_THEOREMS[gate]
-        frame["gate"] = _GATE_TAGS[gate]
+        frame["theorem"] = STEP_THEOREMS[gate, True]
+        frame["gate"] = gate
         frame["xa"] = self._names(xa)
         frame["xc"] = self._names(set(support) - set(xa))
 
@@ -129,7 +117,7 @@ class CertificateTracer:
         frame["gate"] = "MUX"
         frame["var"] = self.mgr.var_name(var)
 
-    def annotate_cache(self, complemented):
+    def annotate_cache(self, isf, csf, node, complemented):
         """A Theorem 6 component-cache hit (self-contained leaf)."""
         frame = self._stack[-1]
         frame["theorem"] = "thm6-reuse"

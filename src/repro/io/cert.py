@@ -55,6 +55,17 @@ THEOREM_GATES = {
     "shannon": "MUX",
 }
 
+#: Theorem tag a gate step claims, by ``(gate tag, weak)``, for the
+#: tracer and the contract checker; a strong XOR step on multi-variable
+#: groups claims ``fig4-exor`` instead.
+STEP_THEOREMS = {
+    ("OR", False): "thm1-or",
+    ("AND", False): "thm1-and-dual",
+    ("XOR", False): "thm2-exor",
+    ("OR", True): "table1-weak-or",
+    ("AND", True): "table1-weak-and",
+}
+
 #: Theorem tags whose steps are leaves (no child components).
 LEAF_THEOREMS = ("thm6-reuse", "terminal")
 

@@ -45,11 +45,11 @@ class PipelineConfig:
     verify:
         Run the BDD verifier on every synthesised netlist.
     check_contracts:
-        Opt-in checked mode: run the decomposition under the
-        theorem-contract sanitizer
-        (:class:`repro.analysis.CheckedDecompositionEngine`), which
-        re-verifies the paper's Theorem 1/2/3/4/6 certificates at every
-        recursion step and publishes ``contract_violated`` events.
+        Opt-in checked mode: subscribe the theorem-contract sanitizer
+        (:class:`repro.analysis.ContractChecker`) to the engine's
+        steps; it re-verifies the paper's Theorem 1/2/3/4/6
+        certificates at every recursion step and publishes
+        ``contract_violated`` events.
         Slower; off by default (the CLI flag is ``--check``).
     time_limit:
         Wall-clock budget in seconds, or None.

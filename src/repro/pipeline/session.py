@@ -23,6 +23,7 @@ import os
 import time
 from contextlib import contextmanager
 
+from repro.decomp.bidecomp import DecompositionEngine, StepListener
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.events import EventBus
 from repro.pipeline.limits import (Deadline, NodeLimitExceeded,
@@ -56,6 +57,10 @@ class Session:
         self.mgr = None
         self.netlist = None
         self.engine = None
+        #: Engine step listeners built with the engine when configured:
+        #: ``ContractChecker`` and ``CertificateTracer``, else None.
+        self.contracts = None
+        self.tracer = None
         self._var_nodes = None
         self._deadline = None
         self._stage = None
@@ -175,6 +180,8 @@ class Session:
         self.mgr = mgr
         self.netlist = None
         self.engine = None
+        self.contracts = None
+        self.tracer = None
         self._var_nodes = None
         self._used_output_names = set()
         mgr.set_growth_hook(self._on_manager_growth,
@@ -233,25 +240,12 @@ class Session:
     def _on_contract_violation(self, contract, message, detail=None):
         """Sanitizer callback: carry the violation on the event bus.
 
-        The checked engine raises :class:`ContractViolation` right
+        The contract checker raises :class:`ContractViolation` right
         after this returns, so the event always precedes the failure.
         """
         self.events.publish("contract_violated", contract=contract,
                             message=message, detail=detail,
                             stage=self._stage)
-
-    def _on_engine_call(self, kind, stats):
-        """Engine observer: limit check + throttled progress events."""
-        if self._deadline is not None and self._deadline.expired():
-            self._deadline.check(stage=self._stage)
-        self._progress_countdown -= 1
-        if self._progress_countdown <= 0:
-            self._progress_countdown = self.config.progress_interval
-            self.events.publish("decompose_progress",
-                               stage=self._stage,
-                               calls=stats.calls,
-                               bdd_nodes=self.mgr.live_count(),
-                               last_step=kind)
 
     # ------------------------------------------------------------------
     # Stage instrumentation
@@ -309,7 +303,6 @@ class Session:
     # ------------------------------------------------------------------
     def _ensure_engine(self):
         """Build or extend the shared netlist/engine for self.mgr."""
-        from repro.decomp.bidecomp import DecompositionEngine
         from repro.network.netlist import Netlist
         if self.mgr is None:
             raise ValueError("session has no BDD manager; adopt one first")
@@ -319,26 +312,25 @@ class Session:
                 var: self.netlist.input_node(self.mgr.var_name(var))
                 for var in range(self.mgr.num_vars)}
             cache = self._build_component_cache()
+            listeners = [_BudgetListener(self)]
             if self.config.check_contracts:
-                from repro.analysis.contracts import \
-                    CheckedDecompositionEngine
-                self.engine = CheckedDecompositionEngine(
-                    self.mgr, self.netlist, self._var_nodes,
-                    config=self.config.decomposition, cache=cache,
-                    observer=self._on_engine_call,
+                from repro.analysis.contracts import ContractChecker
+                self.contracts = ContractChecker(
+                    self.mgr, self.netlist,
                     on_violation=self._on_contract_violation)
-            else:
-                self.engine = DecompositionEngine(
-                    self.mgr, self.netlist, self._var_nodes,
-                    config=self.config.decomposition, cache=cache,
-                    observer=self._on_engine_call)
+                listeners.append(self.contracts)
+            if self.config.emit_certificates:
+                from repro.decomp.trace import CertificateTracer
+                self.tracer = CertificateTracer(self.mgr)
+                listeners.append(self.tracer)
+            self.engine = DecompositionEngine(
+                self.mgr, self.netlist, self._var_nodes,
+                config=self.config.decomposition, cache=cache,
+                listeners=listeners)
             if cache is not None:
                 # Bind to the engine's own var-node map (the engine
                 # copies ours and extends its copy on batch growth).
                 cache.bind(self.mgr, self.netlist, self.engine.var_nodes)
-            if self.config.emit_certificates:
-                from repro.decomp.trace import CertificateTracer
-                self.engine.tracer = CertificateTracer(self.mgr)
         else:
             # The manager may have gained variables since the engine
             # was built (batch inputs with new input names).
@@ -385,7 +377,7 @@ class Session:
         name_map = {}
         started = time.perf_counter()
         roots = {}
-        tracer = getattr(engine, "tracer", None)
+        tracer = self.tracer
         with recursion_guard(self.config.recursion_limit):
             for name, isf in specs.items():
                 csf, node = engine.decompose(isf)
@@ -410,9 +402,8 @@ class Session:
             record["cache"] = dict(cache_stats)
             lookups = max(1, cache_stats.get("lookups", 0))
             record["cache_hit_rate"] = cache_stats.get("hits", 0) / lookups
-            contract_stats = getattr(engine, "contract_stats", None)
-            if contract_stats is not None:
-                record["contracts"] = contract_stats.as_dict()
+            if self.contracts is not None:
+                record["contracts"] = self.contracts.stats.as_dict()
             if tracer is not None:
                 record["certificate_roots"] = dict(roots)
         return result, name_map
@@ -425,13 +416,12 @@ class Session:
         returns the document, or None when the run was not traced
         (certificates disabled, or a non-bidecomp flow).
         """
-        tracer = getattr(self.engine, "tracer", None)
-        if tracer is None or not run.certificate_roots:
+        if self.tracer is None or not run.certificate_roots:
             return None
         outputs = {name: (step, run.output_names.get(name, name))
                    for name, step in run.certificate_roots.items()}
-        return tracer.document(outputs, label=run.label,
-                               model=self.config.model)
+        return self.tracer.document(outputs, label=run.label,
+                                    model=self.config.model)
 
     def stats_snapshot(self):
         """Session-level counters for reports."""
@@ -442,10 +432,30 @@ class Session:
         if self.engine is not None:
             snap["engine_totals"] = self.engine.stats.as_dict()
             snap["cache_totals"] = self.engine.cache.stats()
-            contract_stats = getattr(self.engine, "contract_stats", None)
-            if contract_stats is not None:
-                snap["contract_totals"] = contract_stats.as_dict()
+            if self.contracts is not None:
+                snap["contract_totals"] = self.contracts.stats.as_dict()
         return snap
+
+
+class _BudgetListener(StepListener):
+    """Engine step listener: per-call deadline check and throttled
+    ``decompose_progress`` events."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def begin(self, isf):
+        session = self.session
+        deadline = session._deadline
+        if deadline is not None and deadline.expired():
+            deadline.check(stage=session._stage)
+        session._progress_countdown -= 1
+        if session._progress_countdown <= 0:
+            session._progress_countdown = session.config.progress_interval
+            session.events.publish("decompose_progress",
+                                   stage=session._stage,
+                                   calls=session.engine.stats.calls,
+                                   bdd_nodes=session.mgr.live_count())
 
 
 def _diff_counters(before, after, absolute=()):

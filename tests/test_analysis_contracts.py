@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.analysis import (CheckedDecompositionEngine, ContractStats,
+from repro.analysis import (ContractChecker, ContractStats,
                             ContractViolation)
 from repro.bdd import BDD
 from repro.boolfn import ISF, parse
@@ -27,8 +27,9 @@ class TestCheckedCleanRuns:
     def test_session_records_contract_stats(self):
         mgr = BDD(["a", "b", "c", "d"])
         session = _session(mgr)
-        assert isinstance(session._ensure_engine(),
-                          CheckedDecompositionEngine)
+        engine = session._ensure_engine()
+        assert isinstance(session.contracts, ContractChecker)
+        assert session.contracts in engine.listeners
         record = {}
         result, _names = session.decompose_specs(_specs(mgr),
                                                  record=record)
@@ -49,7 +50,9 @@ class TestCheckedCleanRuns:
         mgr = BDD(["a", "b"])
         session = Session(mgr=mgr)
         engine = session._ensure_engine()
-        assert not isinstance(engine, CheckedDecompositionEngine)
+        assert session.contracts is None
+        assert not any(isinstance(listener, ContractChecker)
+                       for listener in engine.listeners)
 
     def test_events_stay_silent_on_clean_run(self):
         mgr = BDD(["a", "b", "c", "d"])
@@ -94,20 +97,20 @@ class TestViolations:
     def test_incompatible_cache_hit_detected_directly(self):
         mgr = BDD(["a", "b"])
         session = _session(mgr)
-        engine = session._ensure_engine()
+        session._ensure_engine()
         isf = ISF.from_csf(parse(mgr, "a & b"))
         wrong = parse(mgr, "a | b")  # outside the (Q, ~R) interval
         with pytest.raises(ContractViolation) as excinfo:
-            engine._validate_cache_hit(isf, wrong, 0, False)
+            session.contracts.annotate_cache(isf, wrong, 0, False)
         assert excinfo.value.contract == "cache-compatible"
 
     def test_result_interval_contract_directly(self):
         mgr = BDD(["a", "b"])
         session = _session(mgr)
-        engine = session._ensure_engine()
+        session._ensure_engine()
         isf = ISF.from_csf(parse(mgr, "a & b"))
         with pytest.raises(ContractViolation) as excinfo:
-            engine._check(isf, parse(mgr, "a | b"), "OR")
+            session.contracts.result(isf, parse(mgr, "a | b"), "OR")
         assert excinfo.value.contract == "result-interval"
 
     def test_violation_is_typed_decomposition_error(self):
@@ -120,49 +123,51 @@ class TestViolations:
 
 
 class TestWeakStepContracts:
-    def _engine(self, mgr):
-        return _session(mgr)._ensure_engine()
+    def _checker(self, mgr):
+        session = _session(mgr)
+        session._ensure_engine()
+        return session.contracts
 
     def test_useless_weak_or_violates(self):
         # For f = a & b, exists(a, R) is the whole space, so the weak-OR
         # residual Q & ~exists(a, R) injects no don't-cares: the Table 1
         # termination argument breaks and the contract must fire.
         mgr = BDD(["a", "b"])
-        engine = self._engine(mgr)
+        checker = self._checker(mgr)
         from repro.decomp import OR_GATE
         isf = ISF.from_csf(parse(mgr, "a & b"))
         with pytest.raises(ContractViolation) as excinfo:
-            engine._on_step(isf, [0, 1], OR_GATE, [0], None, isf)
+            checker.annotate_weak(isf, [0, 1], OR_GATE, [0], isf)
         assert excinfo.value.contract == "weak-usefulness"
-        assert engine.contract_stats.as_dict()["violations"] == {
+        assert checker.stats.as_dict()["violations"] == {
             "weak-usefulness": 1}
 
     def test_useless_weak_and_violates(self):
         mgr = BDD(["a", "b"])
-        engine = self._engine(mgr)
+        checker = self._checker(mgr)
         from repro.decomp import AND_GATE
         isf = ISF.from_csf(parse(mgr, "a | b"))
         with pytest.raises(ContractViolation) as excinfo:
-            engine._on_step(isf, [0, 1], AND_GATE, [0], None, isf)
+            checker.annotate_weak(isf, [0, 1], AND_GATE, [0], isf)
         assert excinfo.value.contract == "weak-usefulness"
 
     def test_weak_xa_outside_support_violates(self):
         mgr = BDD(["a", "b", "c"])
-        engine = self._engine(mgr)
+        checker = self._checker(mgr)
         from repro.decomp import OR_GATE
         isf = ISF.from_csf(parse(mgr, "a & b"))
         with pytest.raises(ContractViolation) as excinfo:
-            engine._on_step(isf, [0, 1], OR_GATE, [2], None, isf)
+            checker.annotate_weak(isf, [0, 1], OR_GATE, [2], isf)
         assert excinfo.value.contract == "disjoint-sets"
 
     def test_useful_weak_or_passes(self):
         # f = a | b & c genuinely weak-OR-decomposes around XA={a}.
         mgr = BDD(["a", "b", "c"])
-        engine = self._engine(mgr)
+        checker = self._checker(mgr)
         from repro.decomp import OR_GATE
         isf = ISF.from_csf(parse(mgr, "a | b & c"))
-        engine._on_step(isf, [0, 1, 2], OR_GATE, [0], None, isf)
-        doc = engine.contract_stats.as_dict()
+        checker.annotate_weak(isf, [0, 1, 2], OR_GATE, [0], isf)
+        doc = checker.stats.as_dict()
         assert doc["checks"]["weak-usefulness"] == 1
         assert doc["total_violations"] == 0
 

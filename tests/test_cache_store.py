@@ -355,13 +355,6 @@ class TestPersistentCache:
         fn = parse(mgr, "a & b")
         assert cache.lookup(ISF.from_csf(fn), fn.support()) is None
 
-    def test_on_hit_seam_fires_for_rehydrated_hits(self):
-        mgr, fn, netlist, cache = self.build()
-        seen = []
-        cache.on_hit = lambda isf, csf, node, comp: seen.append(comp)
-        cache.lookup(ISF.from_csf(fn), fn.support())
-        assert seen == [False]
-
 
 # ---------------------------------------------------------------------
 # Session lifecycle: load / flush / events
@@ -391,6 +384,22 @@ class TestSessionPersistence:
         assert not session.events.named("contract_violated")
         decomp = warm.stage_record("decompose")
         assert decomp["contracts"]["total_violations"] == 0
+
+    def test_forged_rehydrated_cone_trips_cache_node_function(
+            self, tmp_path, monkeypatch):
+        # A rehydrated hit is re-verified by the contract checker like
+        # any other hit: a cone that implements the wrong function (here
+        # a bare input wire) must stop a checked warm run.
+        from repro.analysis import ContractViolation
+        run_with_cache(tmp_path)
+
+        def forged(self, netlist, var_nodes, mgr):
+            return var_nodes[mgr.var_index(min(self.support))]
+
+        monkeypatch.setattr(StoredComponent, "emit_cone", forged)
+        with pytest.raises(ContractViolation) as excinfo:
+            run_with_cache(tmp_path, check=True)
+        assert excinfo.value.contract == "cache-node-function"
 
     def test_warm_netlist_passes_lint(self, tmp_path):
         from repro.analysis import lint_netlist

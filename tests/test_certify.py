@@ -144,12 +144,45 @@ class TestCertificateEmission:
         assert not (tmp_path / "xor5.cert.json").exists()
 
     def test_cert_under_checked_engine(self, tmp_path):
-        # --check swaps in CheckedDecompositionEngine; the tracer must
-        # ride along unchanged.
+        # --check subscribes the contract checker before the tracer;
+        # the tracer must ride along unchanged.
         pla, blif, run, _events = _decompose_with_cert(
             tmp_path, "xor5", check_contracts=True)
         report = certify_file(str(pla), str(blif), run.certificate_path)
         assert report.ok
+
+    def test_tracer_recovers_after_contract_violation(self):
+        # One checked certificate session: a run dies mid-recursion on a
+        # ContractViolation (a poisoned cache entry), then a clean run
+        # follows.  The dead run's open frames must all be dropped, or
+        # the clean run's steps would nest under them and its
+        # certificate would not replay.
+        from repro.analysis import ContractViolation
+        from repro.boolfn import ISF
+        names = ["a", "b", "c", "d", "e", "f"]
+        mgr = BDD(names)
+        session = Session(PipelineConfig(check_contracts=True,
+                                         emit_certificates=True),
+                          mgr=mgr)
+        session.decompose_specs({"g": ISF.from_csf(parse(mgr, "a & b | c"))})
+        for bucket in session.engine.cache._by_support.values():
+            bucket[:] = [(csf, 0) for csf, _node in bucket]
+        doomed = ISF.from_csf(parse(mgr, "((a & b | c) ^ d) & e"))
+        with pytest.raises(ContractViolation) as excinfo:
+            session.decompose_specs({"h": doomed})
+        assert excinfo.value.contract == "cache-node-function"
+        record = {}
+        clean = "d & e | ~f & (d ^ e)"
+        _result, name_map = session.decompose_specs(
+            {"k": ISF.from_csf(parse(mgr, clean))}, record=record)
+        outputs = {name: (step, name_map[name])
+                   for name, step in record["certificate_roots"].items()}
+        doc = session.tracer.document(outputs)
+        fresh = BDD(names)
+        report = certify(doc, fresh,
+                         {"k": ISF.from_csf(parse(fresh, clean))})
+        assert report.ok, report.format_text()
+        assert report.steps_checked == len(doc["steps"]) > 1
 
     def test_emit_certificates_in_config_dict(self):
         config = PipelineConfig(emit_certificates=True)

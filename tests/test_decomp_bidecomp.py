@@ -6,9 +6,10 @@ from hypothesis import given, settings
 
 from repro.bdd import BDD
 from repro.boolfn import ISF, from_truth_table, parse, weight_set
-from repro.decomp import (DecompositionConfig, bi_decompose,
+from repro.decomp import (DecompositionConfig, DecompositionEngine,
+                          StepListener, bi_decompose,
                           bi_decompose_function)
-from repro.network import (compute_stats, gates as G,
+from repro.network import (Netlist, compute_stats, gates as G,
                            verify_against_isfs)
 from repro.network.extract import output_functions
 
@@ -40,11 +41,12 @@ class TestCorrectness:
     @settings(max_examples=25, deadline=None)
     @given(isf_strategy(5))
     def test_five_variable_isfs_with_invariant_checks(self, pair):
+        # Checked mode runs every theorem contract at every step,
+        # result-interval included.
         on_tt, off_tt = pair
         mgr = make_mgr(5)
         isf = build_isf(mgr, list(range(5)), on_tt, off_tt)
-        config = DecompositionConfig(check_invariants=True)
-        result = bi_decompose({"f": isf}, config=config)
+        result = bi_decompose({"f": isf}, check=True)
         verify_against_isfs(result.netlist, {"f": isf})
 
     def test_constants_and_literals(self):
@@ -204,3 +206,130 @@ class TestDriver:
         result = bi_decompose({"a": f, "b": ISF.from_csf(f)})
         assert result.netlist.output_node("a") == \
             result.netlist.output_node("b")
+
+
+class _Trip(Exception):
+    pass
+
+
+class _FrameRecorder(StepListener):
+    """Checks the step protocol frame by frame as the engine runs."""
+
+    def __init__(self):
+        self.stack = []
+        self.closed = []  # (how, frame) per finished begin
+        self.begins = 0
+
+    def begin(self, isf):
+        self.begins += 1
+        self.stack.append({"kind": None, "derived_b": 0, "result": 0})
+
+    def _annotate(self, kind):
+        assert self.stack[-1]["kind"] is None, "second annotate_*"
+        self.stack[-1]["kind"] = kind
+
+    def annotate_cache(self, isf, csf, node, complemented):
+        self._annotate("cache")
+
+    def annotate_terminal(self):
+        self._annotate("terminal")
+
+    def annotate_strong(self, isf, support, gate, xa, xb, isf_a):
+        self._annotate("strong")
+
+    def annotate_weak(self, isf, support, gate, xa, isf_a):
+        self._annotate("weak")
+
+    def annotate_shannon(self, var):
+        self._annotate("shannon")
+
+    def derived_b(self, isf, gate, xa, f_a, isf_b):
+        self.stack[-1]["derived_b"] += 1
+
+    def result(self, isf, csf, gate):
+        self.stack[-1]["result"] += 1
+
+    def end(self, isf, csf):
+        self.closed.append(("end", self.stack.pop()))
+
+    def abort(self):
+        self.closed.append(("abort", self.stack.pop()))
+
+
+class _TripOnBegin(_FrameRecorder):
+    """Raises in ``begin`` on its *n*-th call (and records the rest)."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+        self.calls = 0
+
+    def begin(self, isf):
+        self.calls += 1
+        if self.calls == self.n:
+            raise _Trip()
+        super().begin(isf)
+
+
+def _engine(mgr, listeners, config=None):
+    netlist = Netlist(mgr.var_names)
+    var_nodes = {v: netlist.input_node(mgr.var_name(v))
+                 for v in range(mgr.num_vars)}
+    return DecompositionEngine(mgr, netlist, var_nodes, config=config,
+                               listeners=listeners)
+
+
+class TestStepListeners:
+    EXPR = "(x0 & x1 | x2) & (x3 ^ x4) | x5 & ~x0"
+
+    def test_clean_run_frames_follow_the_protocol(self):
+        mgr = make_mgr(6)
+        recorder = _FrameRecorder()
+        engine = _engine(mgr, [recorder])
+        spec = ISF.from_csf(parse(mgr, self.EXPR))
+        engine.decompose(spec)
+        engine.decompose(spec)  # the second root is a cache hit
+        assert recorder.begins == engine.stats.calls
+        # Majority has no strong step; without weak steps it falls
+        # back to Shannon.
+        maj = make_mgr(3)
+        shannon = _FrameRecorder()
+        _engine(maj, [shannon], DecompositionConfig(use_weak=False)) \
+            .decompose(ISF.from_csf(parse(maj, "x0 & x1 | x0 & x2 | x1 & x2")))
+        kinds = set()
+        for rec in (recorder, shannon):
+            assert not rec.stack
+            for how, frame in rec.closed:
+                assert how == "end"
+                kind = frame["kind"]
+                kinds.add(kind)
+                assert frame["derived_b"] == (
+                    1 if kind in ("strong", "weak") else 0)
+                assert frame["result"] == (
+                    1 if kind in ("strong", "weak", "shannon") else 0)
+        assert {"cache", "terminal", "strong", "shannon"} <= kinds
+
+    @pytest.mark.parametrize("n", range(1, 10))  # the run makes 9 calls
+    def test_frames_stay_balanced_when_begin_raises(self, n):
+        mgr = make_mgr(6)
+        tripwire = _TripOnBegin(n)
+        recorder = _FrameRecorder()
+        engine = _engine(mgr, [tripwire, recorder])
+        spec = ISF.from_csf(parse(mgr, self.EXPR))
+        with pytest.raises(_Trip):
+            engine.decompose(spec)
+        # Each listener closes exactly the frames it opened: the
+        # recorder never began the tripped call, so it is not aborted
+        # for it, and every enclosing frame is aborted.
+        for listener in (tripwire, recorder):
+            assert not listener.stack
+            assert len(listener.closed) == listener.begins
+        assert recorder.begins == tripwire.begins == n - 1
+        aborted = sum(how == "abort" for how, _frame in recorder.closed)
+        assert aborted == sum(how == "abort"
+                              for how, _frame in tripwire.closed)
+        assert aborted >= (1 if n > 1 else 0)
+        # The engine stays usable and balanced afterwards.
+        engine.decompose(spec)
+        assert not recorder.stack
+        assert len(recorder.closed) == recorder.begins
